@@ -156,8 +156,16 @@ int main(int argc, char** argv) {
     router_options.shards.push_back({"127.0.0.1",
                                      shard_servers.back()->port()});
   }
-  sharding::Router router(source, router_options);
-  if (Status s = router.Start(); !s.ok()) {
+  Result<std::unique_ptr<sharding::Router>> router =
+      sharding::Router::Create(source, router_options);
+  if (!router.ok()) {
+    std::fprintf(stderr, "router: %s\n", router.status().ToString().c_str());
+    return 1;
+  }
+  server::ServerOptions frontend_options;
+  frontend_options.port = 0;
+  server::Server frontend(router->get(), frontend_options);
+  if (Status s = frontend.Start(); !s.ok()) {
     std::fprintf(stderr, "router start: %s\n", s.ToString().c_str());
     return 1;
   }
@@ -185,7 +193,7 @@ int main(int argc, char** argv) {
     }
     return client;
   };
-  Result<Client> via_router = connect(router.port(), "s");
+  Result<Client> via_router = connect(frontend.port(), "s");
   Result<Client> via_ref = connect(reference_server.port(), "s");
   if (!via_router.ok() || !via_ref.ok()) {
     std::fprintf(stderr, "connect: %s\n",
@@ -202,7 +210,7 @@ int main(int argc, char** argv) {
   std::vector<double> scatter_ms, scatter_ref_ms;
   const std::string wide_goal = "?- s[doc(K : val -R-> V)] << cau.";
   for (const char* level : kLevels) {
-    Result<Client> a = connect(router.port(), level);
+    Result<Client> a = connect(frontend.port(), level);
     Result<Client> b = connect(reference_server.port(), level);
     if (!a.ok() || !b.ok()) return 1;
     const std::string goal =
@@ -245,7 +253,7 @@ int main(int argc, char** argv) {
 
   // --- Write phase: fresh facts routed to their owners, then the wide
   // answer re-compared (the reference gets the same stream). ----------
-  Result<Client> w_router = connect(router.port(), "c");
+  Result<Client> w_router = connect(frontend.port(), "c");
   Result<Client> w_ref = connect(reference_server.port(), "c");
   if (!w_router.ok() || !w_ref.ok()) return 1;
   for (size_t i = 0; i < writes; ++i) {
@@ -273,8 +281,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const sharding::RouterCounters counters = router.Counters();
-  router.Stop();
+  const sharding::RouterCounters counters = (*router)->Counters();
+  frontend.Stop();
   for (auto& server : shard_servers) server->Stop();
   reference_server.Stop();
 

@@ -69,6 +69,8 @@ const char* StageName(Stage stage) {
       return "wal_append";
     case Stage::kFsync:
       return "fsync";
+    case Stage::kCommitWait:
+      return "commit_wait";
     case Stage::kRecovery:
       return "recovery";
     case Stage::kDeltaReduce:

@@ -74,11 +74,12 @@ enum class Stage : uint8_t {
   kValidate,   // security pinning + Definition 5.4 integrity
   kWalAppend,  // WAL record framing + write
   kFsync,      // fdatasync of the WAL
+  kCommitWait, // a committer waiting for its group-commit sync
   kRecovery,   // Storage::Open (snapshot read + WAL replay)
   // Incremental view maintenance (the post-commit delta path).
   kDeltaReduce,  // incremental tau update of a live reduced program
   kDeltaEval,    // DRed-style delta propagation into a live fixpoint
-  kRegroup,      // regrouping a served view (decoded model / cautious beta)
+  kRegroup,      // regrouping a maintained level's decoded serving view
   // Replication (the replica-side apply loop).
   kReplicaApply,  // applying one shipped WAL record through the engine
   // MSQL.

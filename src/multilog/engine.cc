@@ -648,7 +648,7 @@ Result<WriteResult> Engine::Mutate(std::string_view fact_source,
     // may lose the record; a client that got an error must not assume
     // the write exists.
     db_lock.unlock();
-    trace::Span sync_span(trace::Stage::kWalAppend);
+    trace::Span sync_span(trace::Stage::kCommitWait);
     MULTILOG_RETURN_IF_ERROR(storage_->SyncTo(sync_ticket));
   }
   return result;

@@ -47,7 +47,13 @@ Result<Client> Client::Connect(uint16_t port) {
   return Connect("127.0.0.1", port);
 }
 
-Result<Client> Client::Connect(const std::string& host, uint16_t port) {
+namespace {
+
+/// Opens a TCP socket of `type` and connects it to host:port. EINPROGRESS
+/// (a nonblocking connect under way) is reported through `in_progress`
+/// when the caller asked for it; any other failure closes the socket.
+Result<int> Dial(const std::string& host, uint16_t port, int type,
+                 bool* in_progress) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -58,22 +64,41 @@ Result<Client> Client::Connect(const std::string& host, uint16_t port) {
         "invalid host '" + host +
         "' (expected an IPv4 address or 'localhost')");
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, type, 0);
   if (fd < 0) {
     return Status::Internal(std::string("socket: ") + std::strerror(errno));
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const Status s = Status::Internal("connect to " + host + ":" +
-                                      std::to_string(port) + ": " +
-                                      std::strerror(errno));
-    ::close(fd);
-    return s;
+    if (in_progress != nullptr && errno == EINPROGRESS) {
+      *in_progress = true;
+    } else {
+      const Status s = Status::Internal("connect to " + host + ":" +
+                                        std::to_string(port) + ": " +
+                                        std::strerror(errno));
+      ::close(fd);
+      return s;
+    }
   }
   // Frames are small; Nagle would hold a pipelined burst hostage to
   // the peer's delayed ACK.
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
+}  // namespace
+
+Result<Client> Client::Connect(const std::string& host, uint16_t port) {
+  MULTILOG_ASSIGN_OR_RETURN(const int fd,
+                            Dial(host, port, SOCK_STREAM, nullptr));
   return Client(fd);
+}
+
+Result<int> ConnectNonblocking(const std::string& host, uint16_t port,
+                               bool* in_progress) {
+  *in_progress = false;
+  return Dial(host, port, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+              in_progress);
 }
 
 Result<Client> Client::ConnectWithRetry(const std::string& host,

@@ -123,6 +123,14 @@ class Client {
   int fd_ = -1;
 };
 
+/// Starts a nonblocking TCP connect to host:port (an IPv4 address or
+/// "localhost") and returns the socket, nonblocking and with
+/// TCP_NODELAY set. `*in_progress` reports a connect still completing:
+/// the socket turns writable when it finishes, and SO_ERROR then holds
+/// its outcome.
+Result<int> ConnectNonblocking(const std::string& host, uint16_t port,
+                               bool* in_progress);
+
 /// Rebuilds a Status from the wire's {"code","error"} pair so callers
 /// can keep using IsDeadlineExceeded(), IsUnavailable() etc. across the
 /// network hop. Unknown codes degrade to kInternal.

@@ -461,6 +461,10 @@ void Json::Set(const std::string& key, Json value) {
   members_.emplace_back(key, std::move(value));
 }
 
+void Json::Erase(const std::string& key) {
+  std::erase_if(members_, [&key](const auto& m) { return m.first == key; });
+}
+
 const Json* Json::Find(const std::string& key) const {
   if (kind_ != Kind::kObject) return nullptr;
   for (const auto& [k, v] : members_) {

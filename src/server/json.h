@@ -95,6 +95,9 @@ class Json {
   /// Sets a key on an object (replaces an existing key in place).
   void Set(const std::string& key, Json value);
 
+  /// Removes a key from an object; a no-op when absent.
+  void Erase(const std::string& key);
+
   /// Object member lookup; nullptr when absent or not an object.
   const Json* Find(const std::string& key) const;
 

@@ -30,7 +30,9 @@
 // With --router --shards HOST:PORT,... the daemon is a scatter-gather
 // query router instead of an engine: it speaks the same protocol, but
 // routes each query/write to the hash-owning shard (or scatters wide
-// queries across all of them) - see src/sharding/router.h. The --db /
+// queries across all of them) - see src/sharding/router.h; it serves on
+// the same event loop as an engine daemon, with its shard links on that
+// loop. The --db /
 // --sample source is parsed for the lattice and the routing analysis
 // only; the shards must have been seeded with the matching per-shard
 // partition of the same source (examples/sharding_demo.sh shows the
@@ -45,6 +47,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <semaphore.h>
 #include <sstream>
@@ -237,83 +240,81 @@ int main(int argc, char** argv) {
     source = buf.str();
   }
 
+  // Exactly one of these serves: a router (over the shard fleet) or an
+  // engine (over this process's own data).
+  std::unique_ptr<sharding::Router> router;
+  Result<storage::Storage> storage = Status::Internal("unused");
+  Result<ml::Engine> engine = Status::Internal("unused");
+  std::unique_ptr<server::Server> srv;
+  std::optional<replication::Replicator> replicator;
   if (is_router) {
     sharding::RouterOptions router_options;
-    router_options.port = options.port;
-    router_options.max_connections = options.max_connections;
-    router_options.max_request_bytes = options.max_request_bytes;
-    router_options.default_deadline_ms = options.default_deadline_ms;
-    router_options.default_mode = options.default_mode;
     for (const server::Endpoint& ep : shard_endpoints) {
       router_options.shards.push_back({ep.host, ep.port});
     }
-    sharding::Router router(source, router_options);
-    if (Status s = router.Start(); !s.ok()) {
-      std::fprintf(stderr, "router: %s\n", s.ToString().c_str());
+    Result<std::unique_ptr<sharding::Router>> created =
+        sharding::Router::Create(source, std::move(router_options));
+    if (!created.ok()) {
+      std::fprintf(stderr, "router: %s\n",
+                   created.status().ToString().c_str());
       return 1;
     }
-    std::printf("multilog-router listening on 127.0.0.1:%u (%zu shards, %s)\n",
-                router.port(), router.shard_map().num_shards(),
-                sharding::kShardHashName);
-    std::fflush(stdout);
-    sem_init(&g_shutdown, 0, 0);
-    std::signal(SIGINT, HandleSignal);
-    std::signal(SIGTERM, HandleSignal);
-    while (sem_wait(&g_shutdown) != 0 && errno == EINTR) {
-    }
-    std::printf("shutting down\n");
-    router.Stop();
-    return 0;
-  }
-
-  Result<storage::Storage> storage = Status::Internal("unused");
-  Result<ml::Engine> engine = Status::Internal("unused");
-  if (!data_dir.empty()) {
-    storage = storage::Storage::Open(data_dir, source);
-    if (!storage.ok()) {
-      std::fprintf(stderr, "storage: %s\n",
-                   storage.status().ToString().c_str());
-      return 1;
-    }
-    if (!storage->recovered().data_loss.ok()) {
-      // Recoverable by design: the torn tail is already truncated and
-      // everything durably acknowledged is intact. Operators still want
-      // to know a crash interrupted an append.
-      std::fprintf(stderr, "recovery: %s\n",
-                   storage->recovered().data_loss.ToString().c_str());
-    }
-    engine = ml::Engine::FromStorage(&*storage, engine_options);
+    router = std::move(created).value();
+    srv = std::make_unique<server::Server>(router.get(), options);
   } else {
-    engine = ml::Engine::FromSource(source, engine_options);
+    if (!data_dir.empty()) {
+      storage = storage::Storage::Open(data_dir, source);
+      if (!storage.ok()) {
+        std::fprintf(stderr, "storage: %s\n",
+                     storage.status().ToString().c_str());
+        return 1;
+      }
+      if (!storage->recovered().data_loss.ok()) {
+        // Recoverable by design: the torn tail is already truncated and
+        // everything durably acknowledged is intact. Operators still
+        // want to know a crash interrupted an append.
+        std::fprintf(stderr, "recovery: %s\n",
+                     storage->recovered().data_loss.ToString().c_str());
+      }
+      engine = ml::Engine::FromStorage(&*storage, engine_options);
+    } else {
+      engine = ml::Engine::FromSource(source, engine_options);
+    }
+    if (!engine.ok()) {
+      std::fprintf(stderr, "database: %s\n",
+                   engine.status().ToString().c_str());
+      return 1;
+    }
+    // A replica rejects client writes; the replication stream is the
+    // only writer. The engine seed (--db/--sample) must be the same
+    // database the primary serves - the security lattice has to match,
+    // and catch-up replaces the facts wholesale on the first snapshot
+    // install anyway.
+    if (is_replica) options.read_only = true;
+    srv = std::make_unique<server::Server>(&*engine, options,
+                                           std::move(catalog));
+    if (is_replica) {
+      replicator.emplace(&*engine, replica_options);
+      srv->SetReplicator(&*replicator);
+    }
   }
-  if (!engine.ok()) {
-    std::fprintf(stderr, "database: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-
-  // A replica rejects client writes; the replication stream is the only
-  // writer. The engine seed (--db/--sample) must be the same database
-  // the primary serves - the security lattice has to match, and catch-up
-  // replaces the facts wholesale on the first snapshot install anyway.
-  if (is_replica) options.read_only = true;
-
-  server::Server srv(&*engine, options, std::move(catalog));
-  std::optional<replication::Replicator> replicator;
-  if (is_replica) {
-    replicator.emplace(&*engine, replica_options);
-    srv.SetReplicator(&*replicator);
-  }
-  if (Status s = srv.Start(); !s.ok()) {
+  if (Status s = srv->Start(); !s.ok()) {
     std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
     return 1;
   }
   if (replicator.has_value()) replicator->Start();
-  std::printf("multilogd listening on 127.0.0.1:%u (%zu workers, levels:",
-              srv.port(), options.num_workers);
-  for (const std::string& level : engine->lattice().TopologicalOrder()) {
-    std::printf(" %s", level.c_str());
+  if (router != nullptr) {
+    std::printf("multilog-router listening on 127.0.0.1:%u (%zu shards, %s)\n",
+                srv->port(), router->shard_map().num_shards(),
+                sharding::kShardHashName);
+  } else {
+    std::printf("multilogd listening on 127.0.0.1:%u (%zu workers, levels:",
+                srv->port(), options.num_workers);
+    for (const std::string& level : engine->lattice().TopologicalOrder()) {
+      std::printf(" %s", level.c_str());
+    }
+    std::printf(")\n");
   }
-  std::printf(")\n");
   if (!data_dir.empty()) {
     std::printf("durable: %s (next seqno %llu)\n", data_dir.c_str(),
                 static_cast<unsigned long long>(storage->next_seqno()));
@@ -335,6 +336,6 @@ int main(int argc, char** argv) {
   // sees a quiescent engine; the reverse order would race stream applies
   // against connection teardown for no benefit.
   if (replicator.has_value()) replicator->Stop();
-  srv.Stop();
+  srv->Stop();
   return 0;
 }

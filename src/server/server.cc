@@ -24,6 +24,8 @@
 #include "msql/executor.h"
 #include "multilog/proof.h"
 #include "replication/log_shipper.h"
+#include "server/client.h"
+#include "sharding/router.h"
 
 namespace multilog::server {
 
@@ -97,6 +99,25 @@ std::string EncodeFrame(std::string_view payload) {
   return frame;
 }
 
+/// Sends [*off, buf->size()) without blocking and clears the buffer once
+/// it drains. False on a hard send error (errno says which); a full
+/// socket is not one - the caller waits for EPOLLOUT.
+bool SendPending(int fd, std::string* buf, size_t* off) {
+  while (*off < buf->size()) {
+    const ssize_t n = ::send(fd, buf->data() + *off, buf->size() - *off,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      *off += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  buf->clear();
+  *off = 0;
+  return true;
+}
+
 /// The seed server's bounded-staleness failure message, verbatim - the
 /// event loop reports it from the parking path now, but clients (and
 /// tests) match on the text.
@@ -164,6 +185,44 @@ struct Server::Session {
   uint32_t epoll_events = 0;
 };
 
+struct Server::Join {
+  /// The session to answer; `gen` guards against fd reuse.
+  int fd = -1;
+  uint64_t gen = 0;
+  std::optional<int64_t> id;
+  Request::Cmd cmd = Request::Cmd::kQuery;
+  std::string level;
+  ml::ExecMode mode = ml::ExecMode::kReduced;
+  std::chrono::steady_clock::time_point start;
+  sharding::RoutePlan plan;
+  /// One per plan.shards entry; a non-OK entry is a transport failure.
+  std::vector<Result<Json>> responses;
+  size_t remaining = 0;
+};
+
+struct Server::Link {
+  Link() : decoder(kAbsoluteMaxFrameBytes) {}
+
+  int fd = -1;
+  size_t shard = 0;
+  std::string level;
+  /// Nonblocking connect still in progress: writes wait for EPOLLOUT.
+  bool connecting = false;
+  /// Queued in dirty_links_ for the end-of-iteration flush.
+  bool dirty = false;
+  FrameDecoder decoder;
+  std::string wbuf;
+  size_t wbuf_off = 0;
+  uint32_t epoll_events = 0;
+  /// Link-local request ids; 0 tags the link's hello.
+  int64_t next_id = 1;
+  struct Slot {
+    uint64_t join = 0;
+    size_t slot = 0;
+  };
+  std::unordered_map<int64_t, Slot> pending;
+};
+
 struct Server::Task {
   int fd = -1;
   uint64_t gen = 0;
@@ -187,6 +246,12 @@ Server::Server(ml::Engine* engine, ServerOptions options,
       catalog_(std::move(catalog)),
       belief_registry_(belief_registry),
       metrics_(engine->lattice().TopologicalOrder()) {}
+
+Server::Server(sharding::Router* router, ServerOptions options)
+    : router_(router),
+      options_(options),
+      metrics_(router->lattice().TopologicalOrder()),
+      link_index_(router->shards().size()) {}
 
 Server::~Server() { Stop(); }
 
@@ -343,7 +408,9 @@ void Server::LoopMain() {
     }
     DrainCompletions();
     CheckParked();
+    SettleLinks();
   }
+  CloseLinks();
 }
 
 void Server::BeginDrain() {
@@ -433,7 +500,11 @@ void Server::HandleAccept() {
 
 void Server::HandleEvent(int fd, uint32_t events) {
   auto it = sessions_.find(fd);
-  if (it == sessions_.end()) return;
+  if (it == sessions_.end()) {
+    auto link = links_.find(fd);
+    if (link != links_.end()) HandleLinkEvent(link->second.get(), events);
+    return;
+  }
   Session* s = it->second.get();
   if ((events & EPOLLOUT) != 0) {
     if (!FlushSession(s)) return;
@@ -547,7 +618,9 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
                 "session is already bound; reconnect to change clearance")),
             req.id);
       }
-      if (!engine_->lattice().Contains(req.level)) {
+      const lattice::SecurityLattice& lattice =
+          router_ != nullptr ? router_->lattice() : engine_->lattice();
+      if (!lattice.Contains(req.level)) {
         return QueueResponse(s,
                              ErrorResponse(Status::SecurityViolation(
                                  "unknown clearance level '" + req.level +
@@ -566,22 +639,41 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
         s->sql->session.LockUserContext();
       }
       Json resp = OkResponse();
-      resp.Set("server", Json::Str("multilogd"));
+      resp.Set("server", Json::Str(router_ != nullptr ? "multilog-router"
+                                                      : "multilogd"));
       resp.Set("level", Json::Str(s->level));
       resp.Set("mode", Json::Str(ExecModeName(s->mode)));
-      resp.Set("sql", Json::Bool(s->sql != nullptr));
+      if (router_ != nullptr) {
+        resp.Set("shards",
+                 Json::Int(static_cast<int64_t>(router_->shards().size())));
+      } else {
+        resp.Set("sql", Json::Bool(s->sql != nullptr));
+      }
       return QueueResponse(s, std::move(resp), req.id);
     }
     case Request::Cmd::kShardMap: {
-      return QueueResponse(
-          s,
-          ErrorResponse(Status::InvalidArgument(
-              "this daemon is not a router; 'shardmap' is served by "
-              "multilogd --router")),
-          req.id);
+      if (router_ == nullptr) {
+        return QueueResponse(
+            s,
+            ErrorResponse(Status::InvalidArgument(
+                "this daemon is not a router; 'shardmap' is served by "
+                "multilogd --router")),
+            req.id);
+      }
+      Json resp = OkResponse();
+      resp.Set("shardmap", router_->ShardMapJson());
+      return QueueResponse(s, std::move(resp), req.id);
     }
     case Request::Cmd::kBye:
     case Request::Cmd::kReplicate: {
+      if (router_ != nullptr && req.cmd == Request::Cmd::kReplicate) {
+        return QueueResponse(
+            s,
+            ErrorResponse(Status::InvalidArgument(
+                "the router does not serve replication streams; "
+                "replicate from a shard")),
+            req.id);
+      }
       // Ordered commands: defer until every in-flight and parked
       // request on this session has answered, and stop reading - they
       // are by definition the session's last exchange.
@@ -613,9 +705,10 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
       // Bounded staleness: park on the loop until the applied seqno
       // catches up. A parked query holds no worker and no in-flight
       // slot (the seed burned both in a sleep loop), so queries with
-      // satisfied floors keep flowing around it.
-      if (req.cmd == Request::Cmd::kQuery && req.min_seqno > 0 &&
-          engine_->AppliedSeqno() < req.min_seqno) {
+      // satisfied floors keep flowing around it. A router forwards the
+      // floor; the shards park.
+      if (router_ == nullptr && req.cmd == Request::Cmd::kQuery &&
+          req.min_seqno > 0 && engine_->AppliedSeqno() < req.min_seqno) {
         if (req.wait_ms <= 0) {
           metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
           return QueueResponse(
@@ -632,10 +725,9 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
       // queueing unboundedly behind slow queries. Writes count against
       // the same budget - a mutation holds the engine's database lock,
       // so letting unbounded writes queue would starve readers just as
-      // surely as unbounded queries would.
-      if (in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
-          options_.max_in_flight) {
-        in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+      // surely as unbounded queries would. A routed request holds its
+      // slot until every shard it went to has answered.
+      if (!Admit()) {
         metrics_.rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
         return QueueResponse(s,
                              ErrorResponse(Status::ResourceExhausted(
@@ -644,11 +736,21 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
                              req.id);
       }
       s->in_flight += 1;
+      if (router_ != nullptr) return DispatchRouted(s, std::move(req));
       DispatchTask(s, std::move(req), t_read, t_parsed, /*admitted=*/true);
       return true;
     }
   }
   return true;
+}
+
+bool Server::Admit() {
+  if (in_flight_.fetch_add(1, std::memory_order_acq_rel) <
+      options_.max_in_flight) {
+    return true;
+  }
+  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  return false;
 }
 
 void Server::DispatchTask(Session* s, Request req,
@@ -825,9 +927,7 @@ void Server::CheckParked() {
         // slot; when the server is saturated it stays parked and
         // retries next tick rather than bouncing with an overload
         // error it never risked when it arrived.
-        if (in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
-            options_.max_in_flight) {
-          in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+        if (!Admit()) {
           ++pit;
           continue;
         }
@@ -879,28 +979,14 @@ bool Server::DeliverFrame(Session* s, std::string frame) {
 }
 
 bool Server::FlushSession(Session* s) {
-  while (s->wbuf_off < s->wbuf.size()) {
-    const ssize_t n =
-        ::send(s->fd, s->wbuf.data() + s->wbuf_off,
-               s->wbuf.size() - s->wbuf_off, MSG_DONTWAIT | MSG_NOSIGNAL);
-    if (n > 0) {
-      s->wbuf_off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return true;  // socket full; EPOLLOUT (via UpdateEpoll) resumes
-    }
-    // The peer is gone or the socket broke: the response cannot be
-    // delivered. Count it and close - a peer that can't take responses
-    // must not keep submitting work.
-    metrics_.response_write_errors.fetch_add(1, std::memory_order_relaxed);
-    CloseSession(s);
-    return false;
-  }
-  s->wbuf.clear();
-  s->wbuf_off = 0;
-  return true;
+  // A full socket resumes on EPOLLOUT (via UpdateEpoll).
+  if (SendPending(s->fd, &s->wbuf, &s->wbuf_off)) return true;
+  // The peer is gone or the socket broke: the response cannot be
+  // delivered. Count it and close - a peer that can't take responses
+  // must not keep submitting work.
+  metrics_.response_write_errors.fetch_add(1, std::memory_order_relaxed);
+  CloseSession(s);
+  return false;
 }
 
 bool Server::ResumeReading(Session* s) {
@@ -1018,6 +1104,246 @@ void Server::CloseSession(Session* s) {
   metrics_.connections_open.fetch_sub(1, std::memory_order_acq_rel);
   metrics_.sessions_reaped.fetch_add(1, std::memory_order_relaxed);
   sessions_.erase(fd);  // frees the Session - the churn-leak fix itself
+}
+
+bool Server::DispatchRouted(Session* s, Request req) {
+  Result<sharding::RoutePlan> plan =
+      router_->Plan(req, s->mode, options_.default_deadline_ms);
+  if (!plan.ok()) {
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    s->in_flight -= 1;
+    return QueueResponse(s, ErrorResponse(plan.status()), req.id);
+  }
+  const uint64_t join_id = next_join_id_++;
+  auto owned = std::make_unique<Join>();
+  Join& join = *owned;
+  joins_.emplace(join_id, std::move(owned));
+  join.fd = s->fd;
+  join.gen = s->gen;
+  join.id = req.id;
+  join.cmd = req.cmd;
+  join.level = s->level;
+  join.mode = req.mode.has_value() ? *req.mode : s->mode;
+  join.start = std::chrono::steady_clock::now();
+  join.plan = std::move(*plan);
+  const size_t n = join.plan.shards.size();
+  join.responses.assign(n, Result<Json>(Status::Internal("unanswered")));
+  join.remaining = n;
+  for (size_t slot = 0; slot < n; ++slot) {
+    Result<Link*> link = LinkFor(join.plan.shards[slot], s->level);
+    if (!link.ok()) {
+      failed_slots_.push_back(SlotFailure{join_id, slot, link.status()});
+      continue;
+    }
+    const int64_t link_id = (*link)->next_id++;
+    (*link)->pending.emplace(link_id, Link::Slot{join_id, slot});
+    join.plan.request.Set("id", Json::Int(link_id));
+    QueueOnLink(*link, join.plan.request.Serialize());
+  }
+  return true;
+}
+
+Result<Server::Link*> Server::LinkFor(size_t shard, const std::string& level) {
+  auto known = link_index_[shard].find(level);
+  if (known != link_index_[shard].end()) return known->second;
+  const sharding::ShardEndpoint& ep = router_->shards()[shard];
+  bool in_progress = false;
+  MULTILOG_ASSIGN_OR_RETURN(const int fd,
+                            ConnectNonblocking(ep.host, ep.port, &in_progress));
+  auto owned = std::make_unique<Link>();
+  Link* link = owned.get();
+  link->fd = fd;
+  link->shard = shard;
+  link->level = level;
+  link->connecting = in_progress;
+  links_.emplace(fd, std::move(owned));
+  link_index_[shard].emplace(level, link);
+  // The link's session binds at the client's clearance, so the shard
+  // enforces per-level visibility itself. Every routed query pins its
+  // mode, so one link serves all of a level's sessions.
+  Json hello = Json::Object();
+  hello.Set("cmd", Json::Str("hello"));
+  hello.Set("level", Json::Str(level));
+  hello.Set("id", Json::Int(0));
+  QueueOnLink(link, hello.Serialize());
+  UpdateLinkEpoll(link);
+  return link;
+}
+
+void Server::QueueOnLink(Link* link, std::string_view payload) {
+  link->wbuf.append(EncodeFrame(payload));
+  // Sent at the end of the loop iteration: a pipelined burst leaves in
+  // one send() per link.
+  if (!link->dirty) {
+    link->dirty = true;
+    dirty_links_.push_back(link->fd);
+  }
+}
+
+void Server::HandleLinkEvent(Link* link, uint32_t events) {
+  if (link->connecting && (events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0) {
+    int err = 0;
+    socklen_t len = sizeof(err);
+    ::getsockopt(link->fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    if (err != 0) {
+      FailLink(link, Status::Internal(std::string("connect: ") +
+                                      std::strerror(err)));
+      return;
+    }
+    link->connecting = false;
+  }
+  if ((events & EPOLLOUT) != 0 && !FlushLink(link)) return;
+  if ((events & kReadEvents) == 0) return;
+  char buf[65536];
+  while (true) {
+    const ssize_t n = ::recv(link->fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) {
+      link->decoder.Feed(buf, static_cast<size_t>(n));
+      if (!ProcessLinkFrames(link)) return;
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    FailLink(link, Status::Internal(n == 0 ? "the shard closed the connection"
+                                           : std::strerror(errno)));
+    return;
+  }
+}
+
+bool Server::ProcessLinkFrames(Link* link) {
+  while (true) {
+    Result<std::optional<std::string>> next = link->decoder.Next();
+    if (!next.ok()) {
+      FailLink(link, next.status());
+      return false;
+    }
+    if (!next->has_value()) return true;
+    Result<Json> resp = Json::Parse(**next);
+    if (!resp.ok()) {
+      FailLink(link, resp.status());
+      return false;
+    }
+    const std::optional<int64_t> id = ExtractRequestId(*resp);
+    if (id == 0) {
+      if (resp->GetBool("ok", false)) continue;  // the hello's ack
+      FailLink(link, StatusFromWire(*resp));
+      return false;
+    }
+    auto it = id.has_value() ? link->pending.find(*id) : link->pending.end();
+    if (it == link->pending.end()) {
+      // An untagged frame is the shard refusing the link itself (e.g.
+      // its connection limit); anything else is a protocol breach.
+      FailLink(link, id.has_value()
+                         ? Status::Internal("response to an unknown request")
+                         : StatusFromWire(*resp));
+      return false;
+    }
+    const Link::Slot slot = it->second;
+    link->pending.erase(it);
+    resp->Erase("id");
+    CompleteSlot(slot.join, slot.slot, std::move(resp));
+  }
+}
+
+bool Server::FlushLink(Link* link) {
+  if (link->connecting) return true;  // EPOLLOUT reports the connect
+  if (!SendPending(link->fd, &link->wbuf, &link->wbuf_off)) {
+    FailLink(link, Status::Internal(std::string("send: ") +
+                                    std::strerror(errno)));
+    return false;
+  }
+  UpdateLinkEpoll(link);
+  return true;
+}
+
+void Server::UpdateLinkEpoll(Link* link) {
+  uint32_t want = kReadEvents;
+  if (link->connecting || link->wbuf_off < link->wbuf.size()) want |= EPOLLOUT;
+  if (want == link->epoll_events) return;
+  epoll_event ev{};
+  ev.events = want;
+  ev.data.fd = link->fd;
+  ::epoll_ctl(epoll_fd_, link->epoll_events == 0 ? EPOLL_CTL_ADD : EPOLL_CTL_MOD,
+              link->fd, &ev);
+  link->epoll_events = want;
+}
+
+void Server::FailLink(Link* link, const Status& cause) {
+  for (const auto& [id, slot] : link->pending) {
+    failed_slots_.push_back(SlotFailure{slot.join, slot.slot, cause});
+  }
+  link_index_[link->shard].erase(link->level);
+  const int fd = link->fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  ::close(fd);
+  links_.erase(fd);  // frees the link
+}
+
+void Server::SettleLinks() {
+  while (!dirty_links_.empty() || !failed_slots_.empty()) {
+    std::vector<int> dirty;
+    dirty.swap(dirty_links_);
+    for (const int fd : dirty) {
+      auto it = links_.find(fd);
+      if (it == links_.end()) continue;
+      it->second->dirty = false;
+      FlushLink(it->second.get());
+    }
+    std::vector<SlotFailure> failed;
+    failed.swap(failed_slots_);
+    for (SlotFailure& f : failed) {
+      CompleteSlot(f.join, f.slot, std::move(f.cause));
+    }
+  }
+}
+
+void Server::CompleteSlot(uint64_t join_id, size_t slot,
+                          Result<Json> response) {
+  auto it = joins_.find(join_id);
+  if (it == joins_.end()) return;
+  Join& join = *it->second;
+  join.responses[slot] = std::move(response);
+  if (--join.remaining > 0) return;
+  const std::unique_ptr<Join> done = std::move(it->second);
+  joins_.erase(it);
+  const uint64_t micros = ElapsedMicros(done->start);
+  Json resp = router_->Merge(done->plan, std::move(done->responses),
+                             done->level, micros);
+  // The shared stats surface counts routed outcomes like local ones.
+  const bool ok = resp.GetBool("ok", false);
+  if (done->cmd == Request::Cmd::kQuery) {
+    metrics_.RecordQuery(done->level, static_cast<size_t>(done->mode), micros);
+    (ok ? metrics_.queries_ok : metrics_.query_errors)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (ok) {
+      metrics_.rows_returned.fetch_add(
+          static_cast<uint64_t>(resp.GetInt("count")),
+          std::memory_order_relaxed);
+    }
+  } else {
+    (ok ? metrics_.writes_ok : metrics_.write_errors)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+  // Release the admission slot before the response becomes visible,
+  // as RunTask does.
+  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  auto sit = sessions_.find(done->fd);
+  if (sit == sessions_.end() || sit->second->gen != done->gen) return;
+  Session* s = sit->second.get();
+  s->in_flight -= 1;
+  if (!QueueResponse(s, std::move(resp), done->id)) return;
+  if (!ResumeReading(s)) return;
+  MaybeClose(s);
+}
+
+void Server::CloseLinks() {
+  for (const auto& [fd, link] : links_) ::close(fd);
+  links_.clear();
+  for (auto& by_level : link_index_) by_level.clear();
+  dirty_links_.clear();
+  failed_slots_.clear();
+  in_flight_.fetch_sub(joins_.size(), std::memory_order_acq_rel);
+  joins_.clear();
 }
 
 Json Server::HandleQuery(const Task& task) {
@@ -1169,6 +1495,10 @@ Json Server::StatsJson() {
   root.Set("in_flight",
            Json::Int(static_cast<int64_t>(
                in_flight_.load(std::memory_order_relaxed))));
+  if (router_ != nullptr) {
+    router_->AddStats(&root);
+    return root;
+  }
   const ml::EngineCounters ec = engine_->Counters();
   Json engine = Json::Object();
   engine.Set("cache_hits", Json::Int(static_cast<int64_t>(ec.cache_hits)));
@@ -1257,6 +1587,10 @@ std::string Server::MetricsText() {
   counter("multilog_requests_in_flight",
           "Dispatched requests currently executing or queued.",
           in_flight_.load(std::memory_order_relaxed), "gauge");
+  if (router_ != nullptr) {
+    out.append(router_->MetricsText());
+    return out;
+  }
 
   const ml::EngineCounters ec = engine_->Counters();
   counter("multilog_engine_cache_hits_total",

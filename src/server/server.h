@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -22,6 +23,10 @@
 #include "replication/replicator.h"
 #include "server/metrics.h"
 #include "server/protocol.h"
+
+namespace multilog::sharding {
+class Router;
+}  // namespace multilog::sharding
 
 namespace multilog::server {
 
@@ -94,7 +99,9 @@ struct SqlCatalogEntry {
   const mls::Relation* relation = nullptr;  // must outlive the server
 };
 
-/// multilogd: a concurrent MLS query server over one shared Engine.
+/// multilogd: a concurrent MLS query server over one shared Engine, or
+/// - built over a sharding::Router - the scatter-gather router in front
+/// of a shard fleet (multilogd --router).
 ///
 /// ## Architecture (DESIGN.md §18)
 ///
@@ -138,6 +145,18 @@ struct SqlCatalogEntry {
 /// frames are refused before buffering. A failed response write counts
 /// `response_write_errors` and closes the session.
 ///
+/// ## Router frontend (DESIGN.md §17)
+///
+/// Built over a Router, the same loop serves the same sessions, but
+/// queries and writes go to the shards instead of a local engine. The
+/// loop owns one nonblocking link per (shard, clearance), dialed
+/// lazily, hello'd with its first frame, and multiplexed by link-local
+/// request ids. A routed request holds its session in-flight count and
+/// an admission slot until every shard it was sent to has answered (or
+/// its link failed, which is kUnavailable naming the shard); then the
+/// Router merges the answers and the loop replies. No thread is
+/// started per connection, request, or shard.
+///
 /// ## Shutdown
 ///
 /// Stop() is graceful: the listener closes first, parked queries are
@@ -152,6 +171,10 @@ class Server {
   Server(ml::Engine* engine, ServerOptions options,
          std::vector<SqlCatalogEntry> catalog = {},
          const mls::BeliefModeRegistry* belief_registry = nullptr);
+  /// The router frontend: `router` must be non-null and outlive the
+  /// server. Sessions bind against the router's lattice; `sql` and
+  /// `replicate` are refused.
+  Server(sharding::Router* router, ServerOptions options);
   ~Server();
 
   Server(const Server&) = delete;
@@ -216,6 +239,21 @@ class Server {
     std::atomic<bool> done{false};
   };
 
+  /// A routed request waiting for its shards: one response slot per
+  /// target shard, merged and answered when the last one lands.
+  struct Join;
+
+  /// A loop-owned connection to one shard, bound at one clearance.
+  struct Link;
+
+  /// A join slot whose shard link failed (or never dialed); settled at
+  /// the end of the loop iteration, outside any session's processing.
+  struct SlotFailure {
+    uint64_t join = 0;
+    size_t slot = 0;
+    Status cause;
+  };
+
   // --- event loop (all private state below sessions_ is loop-owned) --
   void LoopMain();
   void WakeLoop();
@@ -248,6 +286,9 @@ class Server {
   bool ResumeReading(Session* s);
   void UpdateEpoll(Session* s);
   void CloseSession(Session* s);
+  /// Takes one of the max_in_flight slots; false when the server is
+  /// saturated.
+  bool Admit();
   /// Snapshots session state into a Task and submits it to the pool.
   /// `admitted` tasks hold an in-flight slot they release on exit.
   void DispatchTask(Session* s, Request req,
@@ -273,6 +314,32 @@ class Server {
   /// flight, nothing buffered). Returns false when it closed.
   bool MaybeClose(Session* s);
 
+  // --- router frontend: shard links on the loop --------------------
+  /// Plans an admitted request on the router and sends it to every
+  /// target shard's link; CompleteSlot replies once all have answered.
+  bool DispatchRouted(Session* s, Request req);
+  /// The link to `shard` at `level`, dialing it (nonblocking connect,
+  /// hello queued as its first frame) when there is none.
+  Result<Link*> LinkFor(size_t shard, const std::string& level);
+  void QueueOnLink(Link* link, std::string_view payload);
+  void HandleLinkEvent(Link* link, uint32_t events);
+  /// Matches buffered shard responses to their join slots. Returns
+  /// false when the link failed (the pointer is dead then).
+  bool ProcessLinkFrames(Link* link);
+  /// Sends what the socket takes; false when the link failed.
+  bool FlushLink(Link* link);
+  void UpdateLinkEpoll(Link* link);
+  /// Drops the link (the next request redials) and queues every slot
+  /// pending on it as a SlotFailure.
+  void FailLink(Link* link, const Status& cause);
+  /// Flushes links written this iteration and settles failed slots,
+  /// until neither is left.
+  void SettleLinks();
+  /// Records one shard's response; the last one merges and replies.
+  void CompleteSlot(uint64_t join, size_t slot, Result<Json> response);
+  /// Closes every link and abandons unfinished joins (loop exit).
+  void CloseLinks();
+
   // --- worker-side handlers (copies in Task keep them session-safe) --
   Json HandleQuery(const Task& task);
   Json HandleSql(const Task& task);
@@ -294,10 +361,11 @@ class Server {
   /// goal) to options_.slow_query_log (stderr when unset).
   void LogSlowQuery(const Task& task, const trace::SpanNode& root);
 
-  ml::Engine* engine_;
+  ml::Engine* engine_ = nullptr;
+  sharding::Router* router_ = nullptr;
   ServerOptions options_;
   std::vector<SqlCatalogEntry> catalog_;
-  const mls::BeliefModeRegistry* belief_registry_;
+  const mls::BeliefModeRegistry* belief_registry_ = nullptr;
   const replication::Replicator* replicator_ = nullptr;
   ServerMetrics metrics_;
   std::atomic<uint64_t> replication_streams_{0};  // served as the primary
@@ -322,6 +390,15 @@ class Server {
   /// Set once the loop observes stopping_ and begins its drain.
   bool draining_ = false;
   std::chrono::steady_clock::time_point drain_deadline_{};
+
+  /// Router frontend state (loop-owned): links by fd and by (shard,
+  /// level), routed requests in flight, and this iteration's work.
+  std::unordered_map<int, std::unique_ptr<Link>> links_;
+  std::vector<std::unordered_map<std::string, Link*>> link_index_;
+  std::unordered_map<uint64_t, std::unique_ptr<Join>> joins_;
+  uint64_t next_join_id_ = 1;
+  std::vector<int> dirty_links_;
+  std::vector<SlotFailure> failed_slots_;
 
   std::mutex comp_mu_;
   std::vector<Completion> completions_;  // workers push, loop drains

@@ -4,16 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "lattice/lattice.h"
-#include "multilog/database.h"
 #include "multilog/engine.h"
-#include "server/client.h"
 #include "server/protocol.h"
 #include "sharding/routing.h"
 #include "sharding/shard_map.h"
@@ -27,24 +24,12 @@ struct ShardEndpoint {
 };
 
 struct RouterOptions {
-  /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port.
-  uint16_t port = 0;
-  size_t max_connections = 64;
-  size_t max_request_bytes = 1u << 20;  // 1 MiB
-  /// Deadline forwarded to shards for queries that carry none; 0 = none.
-  int64_t default_deadline_ms = 0;
-  ml::ExecMode default_mode = ml::ExecMode::kReduced;
   /// The shard fleet, indexed by shard id (ShardMap::ShardOfKey).
   std::vector<ShardEndpoint> shards;
-  /// Backend dial policy (a shard restart is survivable: the dead
-  /// backend is dropped and redialed on the next request that needs it).
-  int connect_attempts = 10;
-  int64_t connect_backoff_ms = 50;
 };
 
 /// Observability snapshot for the router's stats/metrics surface.
 struct RouterCounters {
-  uint64_t requests_total = 0;
   uint64_t point_queries = 0;
   uint64_t scatter_queries = 0;
   uint64_t anywhere_queries = 0;
@@ -54,14 +39,37 @@ struct RouterCounters {
   uint64_t shard_errors = 0;  // transport failures talking to shards
 };
 
-/// # multilog-router: the scatter-gather query layer over N shards
+/// How one client request executes on the shard fleet: the request
+/// forwarded to every target shard, and how their answers combine.
+struct RoutePlan {
+  enum class Kind {
+    /// One target; its response is relayed verbatim plus "shard".
+    kRelay,
+    /// Every shard answers over its own keys; Merge returns the ordered
+    /// union of the decoded answers.
+    kScatter,
+    /// Every shard runs the command (checkpoint); Merge reports success
+    /// or the first failure by shard index.
+    kFanOut,
+  };
+  Kind kind = Kind::kRelay;
+  std::vector<size_t> shards;
+  /// The forwarded request, without a pipelining `id` (the transport
+  /// tags each copy with its own).
+  server::Json request;
+};
+
+/// # multilog-router: the scatter-gather decisions over N shards
 ///
-/// Speaks the exact multilogd wire protocol (same framing, same
-/// commands, same session rules), so every existing client works
-/// unchanged; `sql` and `replicate` are refused (shards own those).
-/// HELLO binds {clearance, mode} against the *same* database lattice
-/// the shards serve, and the router opens one backend session per
-/// shard, per client session, hello'd at that clearance - the shard
+/// The router is socket-free: `server::Server` built over a Router
+/// (multilogd --router) owns the client sessions and one shard link per
+/// (shard, clearance) on its event loop (DESIGN.md §17). The Router
+/// decides where each request goes and how the shards' answers combine.
+///
+/// Clients speak the exact multilogd wire protocol; `sql` and
+/// `replicate` are refused (shards own those). HELLO binds {clearance,
+/// mode} against the *same* database lattice the shards serve, and each
+/// shard link is hello'd at the session's clearance - the shard
 /// re-enforces per-level visibility exactly as if the client had
 /// connected to it directly, so the router adds no trusted surface.
 ///
@@ -70,93 +78,78 @@ struct RouterCounters {
 ///    identical answers in every mode, because the owner holds the
 ///    key's complete group (see routing.h).
 ///  - Wide queries (one shared non-ground key term) scatter to every
-///    shard in parallel and return the deterministic ordered union of
-///    the decoded answers - the same sorted, deduplicated order the
-///    reduced semantics produces on a single engine, so reduced-mode
-///    answers are byte-identical. (Operational proof *order* is an
-///    enumeration artifact; the answer set is identical, served
-///    sorted.) Proof trees are refused on scatter.
+///    shard and return the deterministic ordered union of the decoded
+///    answers - the same sorted, deduplicated order the reduced
+///    semantics produces on a single engine, so reduced-mode answers
+///    are byte-identical. (Operational proof *order* is an enumeration
+///    artifact; the answer set is identical, served sorted.) Proof
+///    trees are refused on scatter.
 ///  - Key-free goals route round-robin to any single shard (each holds
 ///    all of Lambda and Pi).
 ///  - Assert/Retract route to the written key's owner; Checkpoint fans
 ///    out to every shard.
 ///
-/// `deadline_ms` and `min_seqno`/`wait_ms` are propagated per shard. A
-/// shard that cannot be reached - or dies mid-query - yields
-/// kUnavailable naming the shard, never a silently truncated answer;
-/// the backend is redialed on the next request, so a restarted shard
-/// rejoins transparently. The `shardmap` command serves the versioned
-/// map (hash name, shard count, endpoints) to routing-aware clients.
+/// `deadline_ms`, `min_seqno`/`wait_ms`, proofs and trace are forwarded
+/// per shard. A shard that cannot be reached - or dies mid-query -
+/// yields kUnavailable naming the shard, never a silently truncated
+/// answer. The `shardmap` command serves the versioned map (hash name,
+/// shard count, endpoints) to routing-aware clients.
 class Router {
  public:
   /// `db_source` is the same MultiLog source the shards were seeded
-  /// from: the router parses it for the lattice (HELLO validation) and
-  /// the routing analysis, but never evaluates it.
-  Router(std::string db_source, RouterOptions options);
-  ~Router();
+  /// from: it is parsed and checked for the lattice (HELLO validation)
+  /// and the routing analysis, but never evaluated. Fails when the
+  /// database is invalid or unshardable, or there are no shards.
+  static Result<std::unique_ptr<Router>> Create(std::string_view db_source,
+                                                RouterOptions options);
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Checks the database + shardability, binds, and starts accepting.
-  Status Start();
-
-  /// Graceful shutdown; idempotent.
-  void Stop();
-
-  uint16_t port() const { return port_; }
+  const lattice::SecurityLattice& lattice() const { return lattice_; }
   const ShardMap& shard_map() const { return map_; }
+  const std::vector<ShardEndpoint>& shards() const { return options_.shards; }
   RouterCounters Counters() const;
 
- private:
-  struct Connection {
-    int fd = -1;
-    bool closed = false;  // guarded by conn_mu_
-    /// Set by ServeConnection on exit; the accept loop joins and frees
-    /// finished connections before each accept (and Stop joins the
-    /// rest), so connection churn doesn't accumulate dead threads.
-    std::atomic<bool> done{false};
-    std::thread thread;
-  };
-  struct RouterSession;
+  /// Decides where a query/sql/write request goes. `session_mode` and
+  /// `default_deadline_ms` (0 = none) are pinned into the forwarded
+  /// query so a shard's defaults never disagree with the router's
+  /// session. Refusals (unroutable goals, proofs on scatter, `sql`)
+  /// come back as the error status.
+  Result<RoutePlan> Plan(const server::Request& req, ml::ExecMode session_mode,
+                         int64_t default_deadline_ms);
 
-  void AcceptLoop();
-  void ServeConnection(Connection* conn);
-  /// Joins and erases every finished connection. conn_mu_ held.
-  void ReapConnectionsLocked();
-  bool HandleFrame(RouterSession& session, int fd);
+  /// Combines the shards' responses, one per `plan.shards` entry in the
+  /// same order; a non-OK entry is a transport failure talking to that
+  /// shard. Failures come first, by shard index: a transport failure is
+  /// kUnavailable naming the shard, a shard's own structured error is
+  /// relayed with its "shard". `level` is the session clearance and
+  /// `elapsed_micros` the router-side wall time of the request.
+  server::Json Merge(const RoutePlan& plan,
+                     std::vector<Result<server::Json>> responses,
+                     const std::string& level, uint64_t elapsed_micros);
 
-  /// The shard's backend client for this session, dialing and binding
-  /// it (hello at the session clearance/mode) on first use or after a
-  /// failure dropped it. kUnavailable, naming the shard, when the dial
-  /// fails.
-  Result<server::Client*> Backend(RouterSession& session, size_t shard);
-  /// Drops a backend whose transport failed, so the next request
-  /// redials (shard-restart recovery).
-  void DropBackend(RouterSession& session, size_t shard);
-  /// Wraps a transport-level failure talking to `shard` as
-  /// kUnavailable naming it.
-  Status ShardUnavailable(size_t shard, const Status& cause);
-
-  server::Json HandleQuery(RouterSession& session,
-                           const server::Request& req);
-  server::Json HandleWrite(RouterSession& session,
-                           const server::Request& req);
-  server::Json RelayToShard(RouterSession& session, size_t shard,
-                            const server::Json& request);
-  server::Json ScatterQuery(RouterSession& session,
-                            const server::Json& request);
   server::Json ShardMapJson() const;
-  server::Json StatsJson() const;
+  /// Adds the router's identity, "routing" counters and "shardmap" to a
+  /// stats payload.
+  void AddStats(server::Json* stats) const;
+  /// The multilog_router_* Prometheus families.
   std::string MetricsText() const;
 
-  std::string db_source_;
+ private:
+  explicit Router(RouterOptions options)
+      : options_(std::move(options)), map_(options_.shards.size()) {}
+
+  /// A transport-level failure talking to `shard`, as kUnavailable
+  /// naming it.
+  Status ShardUnavailable(size_t shard, const Status& cause) const;
+
   RouterOptions options_;
   ShardMap map_;
   RoutingAnalysis analysis_;
   lattice::SecurityLattice lattice_;
 
-  std::atomic<uint64_t> requests_total_{0};
+  // Written on the serving loop, read by stats/metrics on a worker.
   std::atomic<uint64_t> point_queries_{0};
   std::atomic<uint64_t> scatter_queries_{0};
   std::atomic<uint64_t> anywhere_queries_{0};
@@ -165,17 +158,6 @@ class Router {
   std::atomic<uint64_t> checkpoint_fanouts_{0};
   std::atomic<uint64_t> shard_errors_{0};
   std::atomic<uint64_t> round_robin_{0};
-  std::atomic<size_t> connections_open_{0};
-
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
-
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  /// Live (plus not-yet-reaped) connections; each owns its thread.
-  std::vector<std::unique_ptr<Connection>> connections_;
 };
 
 }  // namespace multilog::sharding

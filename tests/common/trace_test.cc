@@ -29,6 +29,7 @@ TEST_F(TraceTest, StageNamesAreStableSnakeCase) {
   EXPECT_STREQ(StageName(Stage::kRequest), "request");
   EXPECT_STREQ(StageName(Stage::kEvalRound), "eval_round");
   EXPECT_STREQ(StageName(Stage::kWalAppend), "wal_append");
+  EXPECT_STREQ(StageName(Stage::kCommitWait), "commit_wait");
   EXPECT_STREQ(StageName(Stage::kDeltaReduce), "delta_reduce");
   EXPECT_STREQ(StageName(Stage::kDeltaEval), "delta_eval");
   EXPECT_STREQ(StageName(Stage::kRegroup), "regroup");

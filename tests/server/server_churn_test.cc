@@ -14,6 +14,9 @@
 //     thread accumulation), and
 //  3. virtual memory growth over the whole churn stays far below one
 //     leaked thread stack per session.
+//
+// It runs against the engine daemon and against a router over two
+// shards, whose shard links persist across client sessions.
 
 #include <fstream>
 #include <sstream>
@@ -43,9 +46,10 @@ long ProcStatusValue(const std::string& key) {
   return -1;
 }
 
-class ServerChurnTest : public ServerTestBase {};
+class ServerChurnTest : public FrontendTest {};
+INSTANTIATE_FRONTEND_TESTS(ServerChurnTest);
 
-TEST_F(ServerChurnTest, FiveThousandSessionChurnStaysBounded) {
+TEST_P(ServerChurnTest, FiveThousandSessionChurnStaysBounded) {
   StartServer();
   constexpr int kCycles = 5000;
 

@@ -1,7 +1,8 @@
 // Event-loop behaviors that only matter once serving is nonblocking:
 //
 //  - the connection-limit rejection is best-effort and never lets a
-//    stalled (never-reading) rejected peer delay the next accept,
+//    stalled (never-reading) rejected peer delay the next accept (on
+//    the engine daemon and on a router over two shards alike),
 //  - a query parked on a min_seqno floor burns no worker thread and no
 //    in-flight slot while it waits (other queries run to completion
 //    around it), and expires with the staleness-deadline error,
@@ -34,13 +35,17 @@ constexpr char kGoal[] = "?- c[p(k : a -R-> v)] << opt.";
 
 class ServerEventLoopTest : public ServerTestBase {};
 
+/// The cases the router frontend shares with the engine daemon.
+class ServerEventLoopParityTest : public FrontendTest {};
+INSTANTIATE_FRONTEND_TESTS(ServerEventLoopParityTest);
+
 int64_t ElapsedMs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now() - since)
       .count();
 }
 
-TEST_F(ServerEventLoopTest, StalledRejectedPeerDoesNotDelayNextAccept) {
+TEST_P(ServerEventLoopParityTest, StalledRejectedPeerDoesNotDelayNextAccept) {
   ServerOptions options;
   options.max_connections = 2;
   StartServer(options);

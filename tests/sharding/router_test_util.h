@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "multilog/engine.h"
+#include "../server/server_test_util.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "sharding/router.h"
@@ -53,15 +54,10 @@ class RouterClusterTest : public ::testing::Test {
     ASSERT_TRUE(parts.ok()) << parts.status();
     // Storage::Open creates the shard dir but not its parent.
     if (!data_base.empty()) ::mkdir(data_base.c_str(), 0755);
-    RouterOptions options;
-    // Tests want failures fast, not patient redials.
-    options.connect_attempts = 3;
-    options.connect_backoff_ms = 10;
     for (size_t i = 0; i < parts->size(); ++i) {
       ASSERT_TRUE(StartShard(
           (*parts)[i],
           data_base.empty() ? "" : storage::ShardDataDir(data_base, i)));
-      options.shards.push_back({"127.0.0.1", shard_servers_.back()->port()});
     }
     Result<ml::Engine> ref = ml::Engine::FromSource(source);
     ASSERT_TRUE(ref.ok()) << ref.status();
@@ -73,9 +69,15 @@ class RouterClusterTest : public ::testing::Test {
         std::vector<server::SqlCatalogEntry>{});
     ASSERT_TRUE(reference_server_->Start().ok());
 
-    router_ = std::make_unique<Router>(source, options);
-    const Status started = router_->Start();
-    ASSERT_TRUE(started.ok()) << started;
+    StartRouter();
+  }
+
+  /// (Re)builds the router frontend over the current shard fleet.
+  void StartRouter() {
+    std::vector<uint16_t> ports;
+    for (const auto& shard : shard_servers_) ports.push_back(shard->port());
+    router_ = server::StartRouterFrontend(source_, ports);
+    ASSERT_NE(router_, nullptr);
   }
 
   /// Starts one shard server over `part`; appends to the fleet. A
@@ -177,7 +179,7 @@ class RouterClusterTest : public ::testing::Test {
   std::vector<std::unique_ptr<server::Server>> shard_servers_;
   std::unique_ptr<ml::Engine> reference_engine_;
   std::unique_ptr<server::Server> reference_server_;
-  std::unique_ptr<Router> router_;
+  std::unique_ptr<server::RouterFrontend> router_;
 };
 
 }  // namespace multilog::sharding
